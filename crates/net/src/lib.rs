@@ -6,7 +6,7 @@
 //! the space behind a socket, the way DART puts it behind the interconnect:
 //!
 //! - [`wire`] — a versioned, length-prefixed binary protocol (magic,
-//!   version, opcode, request id, payload length, FNV-1a checksum) with
+//!   version, opcode, request id, payload length, folded-XXH64 checksum) with
 //!   total, panic-free codecs for every request/response frame.
 //! - [`service`] — [`StagingService`], a multi-threaded TCP server wrapping
 //!   a `DataSpace`: one worker thread per connection under a bounded accept

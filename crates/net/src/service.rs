@@ -955,8 +955,7 @@ fn serve_get_chunked(
             }
             None => {
                 inner.stats.chunksum_misses.fetch_add(1, Ordering::Relaxed);
-                let fresh: Vec<u32> = payload.chunks(chunk.max(1)).map(checksum).collect();
-                let fresh = Arc::new(fresh);
+                let fresh = Arc::new(xlayer_staging::sum::chunk_sums(payload, chunk));
                 inner
                     .chunk_sums
                     .insert(obj, chunk as u32, Arc::clone(&fresh));

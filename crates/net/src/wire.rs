@@ -5,12 +5,12 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic            b"XLNT"
-//!      4     2  protocol version u16 LE (currently 4)
+//!      4     2  protocol version u16 LE (currently 5)
 //!      6     1  opcode           (see [`Opcode`])
 //!      7     1  flags            reserved, must be 0
 //!      8     8  request id       u64 LE, echoed by the response
 //!     16     4  payload length   u32 LE, bytes after the header
-//!     20     4  checksum         FNV-1a-32 over the payload, u32 LE
+//!     20     4  checksum         XXH64 of the payload folded to u32, LE
 //!     24     …  payload          opcode-specific body
 //! ```
 //!
@@ -37,10 +37,13 @@ pub const MAGIC: [u8; 4] = *b"XLNT";
 /// 3 appended the disk-budget pair (`tier_disk_budget`,
 /// `tier_disk_headroom`) to `StatsOk`; version 4 appended `busy_frames`
 /// (Busy refusals actually written) to `StatsOk` for load-generation
-/// accounting; an older peer would misparse the body. The layout
-/// fingerprint is additionally pinned in `xlint.wire` (rule S):
-/// regenerate it with `xlint --write-wire-pin` alongside any bump.
-pub const VERSION: u16 = 4;
+/// accounting; an older peer would misparse the body. Version 5 changed
+/// the header checksum from FNV-1a-32 to folded XXH64 (no layout
+/// change): a version-4 peer is refused up front instead of failing
+/// every frame's checksum. The layout fingerprint is additionally pinned
+/// in `xlint.wire` (rule S): regenerate it with `xlint --write-wire-pin`
+/// alongside any bump.
+pub const VERSION: u16 = 5;
 
 /// Header size in bytes.
 pub const HEADER_LEN: usize = 24;
@@ -78,11 +81,12 @@ pub fn clamp_chunk_size(proposed: u32) -> u32 {
     proposed.clamp(MIN_CHUNK_SIZE, MAX_CHUNK_SIZE)
 }
 
-/// FNV-1a 32-bit checksum, the integrity check carried in each header.
-/// The implementation lives in `xlayer_staging::sum` — the disk tier
-/// checksums its extents with the very same function, so per-chunk sums
-/// computed on the wire stay valid on disk and back.
-pub use xlayer_staging::sum::{checksum, checksum_update};
+/// The integrity check carried in each header: XXH64 (seed 0) folded to
+/// 32 bits, plus its streaming form. The implementation lives in
+/// `xlayer_staging::sum` — the disk tier checksums its extents with the
+/// very same function, so per-chunk sums computed on the wire stay valid
+/// on disk and back.
+pub use xlayer_staging::sum::{checksum, Hasher};
 
 /// Frame opcodes. Requests occupy `0x01..=0x08`, their success responses
 /// the same code with the high bit set, `0x09`/`0x0A` are the sub-frames
@@ -451,7 +455,7 @@ pub struct Header {
     pub request_id: u64,
     /// Payload length in bytes (≤ [`MAX_PAYLOAD`]).
     pub payload_len: u32,
-    /// FNV-1a-32 checksum of the payload.
+    /// [`checksum`] of the payload.
     pub checksum: u32,
 }
 
@@ -502,8 +506,8 @@ pub fn verify_payload(header: &Header, payload: &[u8]) -> Result<(), WireError> 
 
 /// Build a 24-byte frame header for a payload whose bytes are sent
 /// separately (the vectored-I/O send path): the caller supplies the total
-/// payload length and its FNV-1a-32 checksum (composed with
-/// [`checksum_update`] when the payload is scattered across buffers).
+/// payload length and its [`checksum`] (streamed through a [`Hasher`]
+/// when the payload is scattered across buffers).
 pub fn frame_header(
     opcode: Opcode,
     request_id: u64,
@@ -538,8 +542,10 @@ pub fn put_frame_parts(
     w.u32(obj.payload.len() as u32);
     *scratch = w.buf;
     let total = (scratch.len() + obj.payload.len()) as u32;
-    let cks = checksum_update(checksum(scratch), obj.payload.as_ref());
-    frame_header(Opcode::Put, request_id, total, cks)
+    let mut h = Hasher::new();
+    h.update(scratch);
+    h.update(obj.payload.as_ref());
+    frame_header(Opcode::Put, request_id, total, h.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -552,7 +558,7 @@ pub fn put_frame_parts(
 // carrying the stream's request id. Each `ChunkData` body is a fixed
 // 12-byte prefix — `u32` object index + `u64` stream offset — followed by
 // the chunk's data bytes; the frame header's checksum is
-// `checksum(prefix) XOR checksum(data)` — two independent FNV-1a-32
+// `checksum(prefix) XOR checksum(data)` — two independent checksum
 // passes combined by XOR rather than one streaming pass over the
 // concatenation. The XOR split keeps per-chunk integrity (either half
 // flipping flips the result) while making the data component independent
@@ -1268,12 +1274,12 @@ mod tests {
             buf,
             vec![
                 b'X', b'L', b'N', b'T', // magic
-                0x04, 0x00, // version 4 LE
+                0x05, 0x00, // version 5 LE
                 0x05, // opcode Stats
                 0x00, // flags
                 0x07, 0, 0, 0, 0, 0, 0, 0, // request id 7 LE
                 0x00, 0x00, 0x00, 0x00, // payload length 0
-                0xc5, 0x9d, 0x1c, 0x81, // FNV-1a-32 offset basis (empty payload)
+                0xae, 0x32, 0x9e, 0xbe, // folded XXH64 of the empty payload
             ]
         );
         assert_eq!(buf.len(), HEADER_LEN);
@@ -1292,7 +1298,7 @@ mod tests {
             9, 0, 0, 0, 0, 0, 0, 0, // before_version 9 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x04, 0x00, 0x04, 0x00, // magic, v4, Delete, flags
+            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x04, 0x00, // magic, v5, Delete, flags
             0x01, 0, 0, 0, 0, 0, 0, 0, // request id 1
             15, 0, 0, 0, // payload length 15
         ];
@@ -1321,7 +1327,7 @@ mod tests {
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&8u32.to_le_bytes());
         body.extend_from_slice(&3.0f64.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x04, 0x00, 0x01, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x01, 0x00];
         expect.extend_from_slice(&3u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1330,21 +1336,25 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_fnv1a32() {
-        assert_eq!(checksum(b""), 0x811c9dc5);
-        assert_eq!(checksum(b"a"), 0xe40c292c);
-        assert_eq!(checksum(b"foobar"), 0xbf9cf968);
+    fn checksum_is_folded_xxh64() {
+        // XXH64 at seed 0, folded lo ^ hi: xxh64("") = 0xEF46DB37_51D8E999,
+        // xxh64("a") = 0xD24EC4F1_A98C6E5B.
+        assert_eq!(checksum(b""), 0x51D8_E999 ^ 0xEF46_DB37);
+        assert_eq!(checksum(b"a"), 0xA98C_6E5B ^ 0xD24E_C4F1);
     }
 
     #[test]
-    fn checksum_update_composes() {
+    fn hasher_composes() {
         // Streaming over split buffers equals one pass over the
-        // concatenation — the invariant the vectored send/receive paths
-        // rely on.
-        let data = b"the quick brown fox jumps over the lazy dog";
+        // concatenation — the invariant the vectored send path relies on.
+        // The buffer spans several 32-byte stripes plus a tail.
+        let data: Vec<u8> = (0..103u8).map(|i| i.wrapping_mul(37)).collect();
         for split in 0..=data.len() {
             let (a, b) = data.split_at(split);
-            assert_eq!(checksum_update(checksum(a), b), checksum(data));
+            let mut h = Hasher::new();
+            h.update(a);
+            h.update(b);
+            assert_eq!(h.finish(), checksum(&data), "split at {split}");
         }
     }
 
@@ -1367,8 +1377,8 @@ mod tests {
                 b'L',
                 b'N',
                 b'T', // magic
-                0x04,
-                0x00, // version 4 LE
+                0x05,
+                0x00, // version 5 LE
                 0x09, // opcode ChunkData
                 0x00, // flags
                 0x09,
@@ -1426,7 +1436,7 @@ mod tests {
             0x02, 0x01, 0, 0, 0, 0, 0, 0, // total_bytes 0x0102 LE
         ];
         let mut expect = vec![
-            b'X', b'L', b'N', b'T', 0x04, 0x00, 0x0A, 0x00, // magic, v4, ChunkEnd, flags
+            b'X', b'L', b'N', b'T', 0x05, 0x00, 0x0A, 0x00, // magic, v5, ChunkEnd, flags
             0x04, 0, 0, 0, 0, 0, 0, 0, // request id 4
             12, 0, 0, 0, // payload length 12
         ];
@@ -1461,7 +1471,7 @@ mod tests {
         body.extend_from_slice(&8u64.to_le_bytes());
         body.extend_from_slice(&1u64.to_le_bytes());
         body.extend_from_slice(&DEFAULT_CHUNK_SIZE.to_le_bytes());
-        let mut expect = vec![b'X', b'L', b'N', b'T', 0x04, 0x00, 0x07, 0x00];
+        let mut expect = vec![b'X', b'L', b'N', b'T', 0x05, 0x00, 0x07, 0x00];
         expect.extend_from_slice(&6u64.to_le_bytes());
         expect.extend_from_slice(&(body.len() as u32).to_le_bytes());
         expect.extend_from_slice(&checksum(&body).to_le_bytes());
@@ -1702,9 +1712,16 @@ mod tests {
         bad[0] = b'Y';
         assert!(matches!(decode_header(&bad), Err(WireError::BadMagic(_))));
 
-        let mut bad = h;
-        bad[4] = 9;
-        assert_eq!(decode_header(&bad), Err(WireError::BadVersion(9)));
+        // Any other version is refused, including the previous one (4,
+        // FNV-1a-32 sums): an old peer fails up front, not per frame.
+        for v in [4u8, 9] {
+            let mut bad = h;
+            bad[4] = v;
+            assert_eq!(
+                decode_header(&bad),
+                Err(WireError::BadVersion(u16::from(v)))
+            );
+        }
 
         let mut bad = h;
         bad[6] = 0x55;

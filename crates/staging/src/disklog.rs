@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset  size  field
-//!      0     4  magic            "XTLG"
+//!      0     4  magic            "XTL2"
 //!      4     2  name_len         u16
 //!      6     8  version          u64
 //!     14    48  bbox             lo.x lo.y lo.z hi.x hi.y hi.z, i64 each
@@ -16,21 +16,27 @@
 //!    134     4  chunk_size       u32
 //!    138     4  nsums            u32 (= ceil(payload_len / chunk_size))
 //!    142     …  name             name_len bytes, UTF-8
-//!      …     …  sums             nsums × u32, FNV-1a-32 per payload chunk
-//!      …     4  head_sum         FNV-1a-32 over every byte above
+//!      …     …  sums             nsums × u32, checksum per payload chunk
+//!      …     4  head_sum         checksum over every byte above
 //!      …     …  payload          payload_len bytes, LE f64 Fortran order
 //! ```
 //!
 //! The in-memory extent index (`BTreeMap<ObjectKey, Vec<Extent>>`) is
 //! rebuilt on open by scanning the log; lookups never touch the file. Each
 //! record carries its own integrity evidence: `head_sum` covers the
-//! metadata, and the per-chunk payload sums (the same FNV-1a-32 chunk-sum
-//! scheme the wire protocol streams with) are re-verified on every read, so
+//! metadata, and the per-chunk payload sums (the folded-XXH64
+//! [`crate::sum`] chunk-sum scheme the wire protocol streams with) are
+//! re-verified on every read, so
 //! a truncated or bit-flipped extent surfaces as a typed [`TierError`] —
 //! never as a panic and never as silently wrong data. A torn tail record
 //! (the crash case) is detected during the open scan, reported through
 //! [`DiskLog::recovery`], and truncated away so the log appends cleanly
 //! again.
+//!
+//! A log whose first record carries the previous format's magic
+//! (`"XTLG"`, FNV-1a-32 sums) is refused with [`TierError::OldFormat`]
+//! and left untouched: its sums no longer verify, so scanning it would
+//! read the whole file as one torn tail and truncate it to nothing.
 //!
 //! Deletes only mark extents dead in the index; the bytes are reclaimed by
 //! [`DiskLog::maybe_compact`], which rewrites live records into a fresh
@@ -59,8 +65,10 @@ use std::sync::Arc;
 use xlayer_amr::boxes::IBox;
 use xlayer_amr::intvect::IntVect;
 
-/// Record magic: "XTLG" (xlayer tier log).
-const MAGIC: [u8; 4] = *b"XTLG";
+/// Record magic: "XTL2" (xlayer tier log, format 2: folded-XXH64 sums).
+const MAGIC: [u8; 4] = *b"XTL2";
+/// Record magic of format 1 (FNV-1a-32 sums), refused on open.
+const OLD_MAGIC: [u8; 4] = *b"XTLG";
 /// Fixed-size prefix of a record, before the name/sums tail.
 const FIXED_HEAD: usize = 142;
 /// Longest accepted variable name (matches the wire protocol's cap).
@@ -94,6 +102,12 @@ pub enum TierError {
         /// Payload size of the rejected append.
         requested: u64,
     },
+    /// The log was written by an earlier record format whose checksums
+    /// this build cannot verify. The file is left as found.
+    OldFormat {
+        /// The first record's magic.
+        magic: [u8; 4],
+    },
 }
 
 impl std::fmt::Display for TierError {
@@ -110,6 +124,11 @@ impl std::fmt::Display for TierError {
             } => write!(
                 f,
                 "disk tier full: budget {budget} B, live {used} B, requested {requested} B"
+            ),
+            TierError::OldFormat { magic } => write!(
+                f,
+                "disk tier log has old record format {:?}; move or remove it",
+                String::from_utf8_lossy(magic)
             ),
         }
     }
@@ -138,7 +157,7 @@ pub struct Extent {
     desc: ObjectDesc,
     /// Chunk size the payload sums were computed at.
     chunk: u32,
-    /// Per-chunk FNV-1a-32 payload sums (shared so a promote can hand them
+    /// Per-chunk payload sums (shared so a promote can hand them
     /// to the wire layer's chunk-sum cache without recomputation).
     sums: Arc<Vec<u32>>,
 }
@@ -252,7 +271,9 @@ impl DiskLog {
     /// the index. `budget` caps live payload bytes; `chunk` is the chunk
     /// size payload sums are computed at. A torn or corrupt tail is
     /// truncated away and reported through [`DiskLog::recovery`]; only an
-    /// unusable file (unreadable, bad permissions) fails the open itself.
+    /// unusable file (unreadable, bad permissions) or one in the old
+    /// record format ([`TierError::OldFormat`], file untouched) fails the
+    /// open itself.
     pub fn open(
         path: impl Into<PathBuf>,
         budget: u64,
@@ -628,6 +649,10 @@ impl DiskLog {
     /// reason in `recovery` — a torn tail must not poison later appends.
     fn scan(&mut self) -> Result<(), TierError> {
         let file_len = self.file.metadata().map_err(|e| io_err("open", e))?.len();
+        let mut magic = [0u8; 4];
+        if self.file.read_exact(&mut magic).is_ok() && magic == OLD_MAGIC {
+            return Err(TierError::OldFormat { magic });
+        }
         let mut offset = 0u64;
         while offset < file_len {
             let head = match self.read_head(offset) {
@@ -812,6 +837,26 @@ mod tests {
         let log = open(&dir, 1 << 20);
         assert_eq!(log.recovery().len(), 1);
         assert!(!log.contains(&ObjectKey::new("rho", 1)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn old_format_log_is_refused_and_left_alone() {
+        let dir = tmpdir("oldfmt");
+        let path = dir.join("test.log");
+        {
+            let mut log = open(&dir, 1 << 20);
+            log.append(&obj("rho", 1, 0, 4)).unwrap();
+        }
+        // Stamp the previous format's magic on the first record.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[..4].copy_from_slice(b"XTLG");
+        std::fs::write(&path, &bytes).unwrap();
+        let err = DiskLog::open(&path, 1 << 20, 256, Arc::new(BufferPool::new())).unwrap_err();
+        assert!(matches!(err, TierError::OldFormat { magic } if &magic == b"XTLG"));
+        assert!(err.to_string().contains("XTLG"));
+        // Not scanned as a torn tail: not a byte truncated or rewritten.
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,7 +14,7 @@
 //!   promote-on-access back into memory,
 //! * [`transport`] — asynchronous transfers with back-pressure,
 //! * [`lock`] — version gates for coupled producer/consumer coordination,
-//! * [`sum`] / [`pool`] — FNV-1a-32 checksums and the size-classed buffer
+//! * [`sum`] / [`pool`] — folded-XXH64 checksums and the size-classed buffer
 //!   pool, shared with the wire layer (`xlayer-net`).
 
 #![forbid(unsafe_code)]

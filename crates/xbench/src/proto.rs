@@ -2,7 +2,7 @@
 //!
 //! Frames reuse the staging wire's conventions — the same 24-byte header
 //! layout (magic, version u16, opcode u8, flags u8, request id u64,
-//! payload length u32, FNV-1a-32 payload checksum u32, all LE) and the
+//! payload length u32, folded-XXH64 payload checksum u32, all LE) and the
 //! same total, panic-free decoding discipline — but under a distinct
 //! magic (`XBCH`) and version counter, so a control frame aimed at a
 //! staging service (or vice versa) is rejected at the first four bytes.
@@ -23,8 +23,10 @@ use crate::spec::{SpecError, WorkloadSpec};
 /// Control-frame magic: first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"XBCH";
 
-/// Control-protocol version; peers refuse any other outright.
-pub const VERSION: u16 = 1;
+/// Control-protocol version; peers refuse any other outright. Version 2
+/// changed the payload checksum from FNV-1a-32 to folded XXH64
+/// (`xlayer_staging::sum`), with no layout change.
+pub const VERSION: u16 = 2;
 
 /// Header size in bytes (same layout as the staging wire header).
 pub const HEADER_LEN: usize = 24;
@@ -681,12 +683,16 @@ mod tests {
         bad[0] = b'Y';
         assert_eq!(decode_ctl_header(&bad), Err(CtlError::BadMagic));
 
-        let mut bad = h;
-        bad[4] = 99;
-        assert!(matches!(
-            decode_ctl_header(&bad),
-            Err(CtlError::BadVersion { got: 99 })
-        ));
+        // Any other version is refused, including the previous one (1,
+        // FNV-1a-32 sums).
+        for v in [1u8, 99] {
+            let mut bad = h;
+            bad[4] = v;
+            assert_eq!(
+                decode_ctl_header(&bad),
+                Err(CtlError::BadVersion { got: u16::from(v) })
+            );
+        }
 
         let mut bad = h;
         bad[6] = 0x55;

@@ -67,4 +67,10 @@ cargo build --locked --release -p xlayer-bench --benches --bins
 echo "==> bench summary schema (BENCH_native_hotpath.json)"
 cargo run --locked --release -q -p xlayer-bench --bin bench_schema_check -- BENCH_native_hotpath.json
 
+echo "==> perfbench build and unit tests (end-to-end benchmark package)"
+# perfbench/ is its own package outside the workspace (own lockfile and
+# [workspace]), so the workspace runs above never compile it; a library
+# change that breaks the benchmark's build or its tests fails here.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
+
 echo "All checks passed."
